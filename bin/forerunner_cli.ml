@@ -252,6 +252,38 @@ let contracts_cmd =
     (Cmd.info "contracts" ~doc:"Disassemble the bundled workload contracts.")
     Term.(const run $ const ())
 
+(* The verdict of the oracle subcommands (fuzz, check, analyze).  Unseeded,
+   a run passes iff the sweep has no problem; with --mutate, iff the seeded
+   fault was caught by its expected lane (DESIGN.md §15). *)
+let oracle_verdict ~lanes ?fault ~ok (sw : Fuzz.Oracle.sweep) =
+  let show lines =
+    List.iteri (fun i l -> if i < 12 then Printf.printf "  %s\n" l) lines;
+    if List.length lines > 12 then Printf.printf "  ... and %d more\n" (List.length lines - 12)
+  in
+  match fault with
+  | None -> (
+    match Fuzz.Oracle.sweep_problems ~lanes sw with
+    | [] ->
+      print_endline ok;
+      true
+    | ps ->
+      show ps;
+      Printf.printf "%d problem(s)\n" (List.length ps);
+      false)
+  | Some f ->
+    let t = Fuzz.Oracle.total sw and name = Fuzz.Oracle.fault_name f in
+    let hits = List.filter (Fuzz.Oracle.expected f) t.findings in
+    show (List.map (Fmt.str "%a" Fuzz.Oracle.pp_finding) hits);
+    if hits <> [] && sw.errors = [] then begin
+      Printf.printf "mutation %s caught: %d finding(s) on its expected lane, %d in all\n" name
+        (List.length hits) (List.length t.findings);
+      true
+    end
+    else begin
+      Printf.printf "mutation %s NOT caught by its expected lane\n" name;
+      false
+    end
+
 (* --fork for the fuzzer: a fork name pins every generated scenario to that
    hardfork; "random" (the default) keeps the generator's per-scenario
    uniform draw over all forks. *)
@@ -302,43 +334,42 @@ let fuzz_cmd =
       & info [ "mutate" ]
           ~doc:
             "Intentionally mis-compile ADD in the AP executor (test-only fault injection) \
-             to demonstrate that the differential oracle detects divergences.")
+             to demonstrate that the differential oracle detects divergences.  Exits 0 iff \
+             the verifier lane caught it as a memo-soundness violation.")
   in
   let run seed iters corpus fork mutate metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    if mutate then Ap.Exec.miscompile_add_for_tests := true;
-    let corpus_failures, n_replayed = Fuzz.Driver.replay_corpus corpus in
-    if n_replayed > 0 then begin
-      Printf.printf "corpus: replayed %d entries (fork-pinned once, unpinned under all %d \
-                     forks), %d diverged\n%!"
-        n_replayed Spec.n_forks
-        (List.length corpus_failures);
-      List.iter
-        (fun (f : Fuzz.Driver.corpus_failure) -> Printf.printf "  %s: %s\n" f.path f.problem)
-        corpus_failures
-    end;
-    Printf.printf "fuzzing: %d iterations, seed %d, fork %s%s\n%!" iters seed
-      (match fork with None -> "random" | Some f -> Spec.fork_name f)
-      (if mutate then " [AP EXECUTOR MUTATED]" else "");
-    let s = Fuzz.Driver.fuzz ~corpus_dir:corpus ?fork ~seed ~iters () in
-    Printf.printf
-      "ran %d iterations: %d txs, %d build fallbacks, %d perturbed violations, %d perturbed \
-       hits, %d warm-built cold-replay violations\n%!"
-      s.iters_run s.total_txs s.build_fallbacks s.perturbed_violations s.perturbed_hits
-      s.warm_violations;
-    match s.finding with
-    | None ->
-      Printf.printf "no divergences: EVM, S-EVM replay and AP fast path agree.\n%!";
-      if corpus_failures <> [] then exit 1
-    | Some f ->
-      Printf.printf "DIVERGENCE at iteration %d (scenario size %d, shrunk to %d):\n%!" f.iter
-        (Fuzz.Scenario.size f.original) (Fuzz.Scenario.size f.scenario);
-      List.iter (fun d -> Fmt.pr "  %a@." Fuzz.Oracle.pp_divergence d) f.divergences;
-      (match f.file with
-      | Some file -> Printf.printf "shrunk counterexample saved to %s\n%!" file
-      | None -> ());
-      print_string (Fuzz.Scenario.to_string f.scenario);
-      exit 1
+    let fault = if mutate then Some Fuzz.Oracle.Add else None in
+    let lanes = Fuzz.Oracle.conformance in
+    let ok =
+      with_metrics ~metrics ~metrics_json @@ fun () ->
+      Printf.printf "fuzzing: %d iterations, seed %d, fork %s%s\n%!" iters seed
+        (match fork with None -> "random" | Some f -> Spec.fork_name f)
+        (if mutate then " [AP EXECUTOR MUTATED]" else "");
+      let per_fork = Option.map (fun f -> [ f ]) fork in
+      let sw = Fuzz.Oracle.sweep ~lanes ?fault ~corpus ~seed ~iters ?per_fork () in
+      if sw.files > 0 then
+        Printf.printf
+          "corpus: %d entries -> %d runs (fork-pinned once, unpinned under all %d forks), %d \
+           finding(s)\n%!"
+          sw.files sw.corpus.scenarios Spec.n_forks (List.length sw.corpus.findings);
+      let g = sw.generated in
+      Printf.printf
+        "ran %d iterations: %d txs, %d build fallbacks, %d perturbed violations, %d perturbed \
+         hits, %d warm-built cold-replay violations\n%!"
+        g.scenarios g.txs g.fallbacks g.perturbed_violations g.perturbed_hits g.warm_violations;
+      Option.iter
+        (fun ((iter, _) as failure) ->
+          let s = Fuzz.Driver.shrink ?fault ~lanes ~corpus_dir:corpus ~seed failure in
+          Printf.printf "DIVERGENCE at iteration %d (scenario size %d, shrunk to %d):\n%!" iter
+            (Fuzz.Scenario.size s.original) (Fuzz.Scenario.size s.scenario);
+          List.iter (fun f -> Fmt.pr "  %a@." Fuzz.Oracle.pp_finding f) s.findings;
+          Option.iter (Printf.printf "shrunk counterexample saved to %s\n%!") s.file;
+          print_string (Fuzz.Scenario.to_string s.scenario))
+        sw.first_failure;
+      oracle_verdict ~lanes ?fault ~ok:"no divergences: EVM, S-EVM replay and AP fast path agree."
+        sw
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -368,7 +399,7 @@ let check_cmd =
     Arg.(
       value
       & opt
-          (some (enum [ ("add", Fuzz.Checkrun.M_add); ("drop-guard", Fuzz.Checkrun.M_drop_guard) ]))
+          (some (enum [ ("add", Fuzz.Oracle.Add); ("drop-guard", Fuzz.Oracle.Drop_guard) ]))
           None
       & info [ "mutate" ] ~docv:"KIND"
           ~doc:
@@ -377,55 +408,26 @@ let check_cmd =
              the first guard from every built path (the guard-coverage checker must \
              reject).  Exits 0 iff the matching checker rejected.")
   in
-  let run seed iters corpus mutate metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r = Fuzz.Checkrun.run ?mutate ~corpus ~seed ~iters () in
-    List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let s = r.summary in
-    Printf.printf
-      "verified %d programs (%d linear paths) from %d corpus entries + %d generated \
-       scenarios; %d builder fallbacks%s\n%!"
-      s.programs s.paths r.corpus_files
-      (max 0 (s.scenarios - r.corpus_files))
-      s.fallbacks
-      (match mutate with
-      | None -> ""
-      | Some m ->
-        Printf.sprintf "; mutation %s in effect on %d" (Fuzz.Checkrun.mutation_name m) s.mutated);
-    let shown = 12 in
-    List.iteri
-      (fun i (ctx, v) ->
-        if i < shown then Fmt.pr "  %s: %a@." ctx Analysis.Report.pp v)
-      s.violations;
-    if List.length s.violations > shown then
-      Printf.printf "  ... and %d more\n" (List.length s.violations - shown);
-    let corpus_broken = r.corpus_errors <> [] in
-    match mutate with
-    | None ->
-      if s.violations = [] && not corpus_broken then
-        Printf.printf
+  let run seed iters corpus fault metrics metrics_json =
+    let lanes = [ Fuzz.Oracle.Verifier ] in
+    let ok =
+      with_metrics ~metrics ~metrics_json @@ fun () ->
+      let sw = Fuzz.Oracle.sweep ~lanes ?fault ~corpus ~seed ~iters () in
+      let t = Fuzz.Oracle.total sw in
+      Printf.printf
+        "verified %d programs from %d corpus runs (%d entries) + %d generated scenarios; %d \
+         builder fallbacks%s\n%!"
+        t.programs sw.corpus.scenarios sw.files sw.generated.scenarios t.fallbacks
+        (match fault with
+        | None -> ""
+        | Some f -> Printf.sprintf "; mutation %s SEEDED" (Fuzz.Oracle.fault_name f));
+      oracle_verdict ~lanes ?fault
+        ~ok:
           "all programs verify: def-before-use, rollback-freedom, guard coverage, memo \
-           soundness, well-formedness.\n\
-           %!"
-      else begin
-        Printf.printf "%d violation(s)\n" (List.length s.violations);
-        exit 1
-      end
-    | Some m ->
-      let want = Fuzz.Checkrun.expected_kind m in
-      let hits =
-        List.filter (fun (_, (v : Analysis.Report.violation)) -> v.kind = want) s.violations
-      in
-      if hits = [] || corpus_broken then begin
-        Printf.printf "mutation %s NOT rejected: no %s violation reported\n"
-          (Fuzz.Checkrun.mutation_name m)
-          (Analysis.Report.kind_name want);
-        exit 1
-      end
-      else
-        Printf.printf "mutation %s rejected: %d %s violation(s) with path-level diagnostics\n%!"
-          (Fuzz.Checkrun.mutation_name m) (List.length hits)
-          (Analysis.Report.kind_name want)
+           soundness, well-formedness."
+        sw
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -472,51 +474,30 @@ let analyze_cmd =
             "Seed an unsound narrowing of one analysis domain ($(b,cfg) drops JUMPI taken \
              edges, $(b,stack) corrupts DUP constant propagation, $(b,footprint) ignores \
              SSTORE, $(b,calldata) claims calldata never reaches control flow) before \
-             sweeping.  The oracle must then report violations, so the run exits nonzero \
-             — the rejection contract.")
+             sweeping.  Exits 0 iff the footprint lane then reports a violation on that \
+             domain's sentinel — the same rejection contract as $(b,check --mutate).")
   in
   let run seed iters corpus narrow metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r = Fuzz.Bcarun.run ?narrow ~corpus ~seed ~iters () in
-    List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let s = r.report in
-    Printf.printf
-      "analyzed %d scenarios (%d corpus entries + sentinels + %d generated per fork x %d \
-       forks), %d txs%s\n\
-       footprint coverage: %d runtime touches, %d committed changes, %d wild predictions\n\
-       calldata witnesses: %d flip re-executions\n%!"
-      s.scenarios r.corpus_files iters Spec.n_forks s.txs
-      (match narrow with
-      | None -> ""
-      | Some n -> Printf.sprintf "; narrowing %s SEEDED" (Bca.narrowing_name n))
-      s.touches_checked s.changes_checked s.wild s.flips;
-    let shown = 12 in
-    List.iteri
-      (fun i v -> if i < shown then Fmt.pr "  %a@." Fuzz.Bcarun.pp_violation v)
-      s.violations;
-    if List.length s.violations > shown then
-      Printf.printf "  ... and %d more\n" (List.length s.violations - shown);
-    let nv = List.length s.violations in
-    match narrow with
-    | None ->
-      if nv = 0 && r.corpus_errors = [] then
-        Printf.printf
-          "all footprints sound: static analysis ⊇ runtime touch log on every execution.\n%!"
-      else begin
-        Printf.printf "%d violation(s)\n" nv;
-        exit 1
-      end
-    | Some n ->
-      if nv = 0 then
-        Printf.printf "narrowing %s produced no violation — the oracle missed it.\n%!"
-          (Bca.narrowing_name n)
-      else begin
-        Printf.printf
-          "narrowing %s caught: %d violation(s); exiting nonzero per the rejection \
-           contract.\n%!"
-          (Bca.narrowing_name n) nv;
-        exit 1
-      end
+    let lanes = [ Fuzz.Oracle.Footprint ] in
+    let fault = Option.map (fun n -> Fuzz.Oracle.Narrow n) narrow in
+    let ok =
+      with_metrics ~metrics ~metrics_json @@ fun () ->
+      let sw = Fuzz.Oracle.sweep ~lanes ?fault ~corpus ~seed ~iters ~per_fork:Spec.all_forks () in
+      let t = Fuzz.Oracle.total sw in
+      Printf.printf
+        "analyzed %d scenarios (4 sentinels + %d corpus runs from %d entries + %d generated \
+         per fork x %d forks), %d txs%s\n\
+         footprint coverage: %d runtime touches, %d committed changes, %d wild predictions\n\
+         calldata witnesses: %d flip re-executions\n%!"
+        t.scenarios (sw.corpus.scenarios - 4) sw.files iters Spec.n_forks t.txs
+        (match narrow with
+        | None -> ""
+        | Some n -> Printf.sprintf "; narrowing %s SEEDED" (Bca.narrowing_name n))
+        t.touches t.changes t.wild t.flips;
+      oracle_verdict ~lanes ?fault
+        ~ok:"all footprints sound: static analysis ⊇ runtime touch log on every execution." sw
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -90,3 +90,98 @@ let scenario rng : Scenario.t =
        four-engine oracle is an N-fork differential matrix for free *)
     fork = Some (List.nth Spec.all_forks (int rng Spec.n_forks));
   }
+
+(* Every iteration reseeds from (seed, iteration), so iteration [i] of
+   [--seed n] is reproducible in isolation no matter what ran before. *)
+let seeded ~seed iter = scenario (Random.State.make [| 0xF0E2; seed; iter |])
+
+(* ---- raw bytecode, for the decoder corners gadget programs never
+   assemble: truncated PUSH tails, PUSH data that looks like JUMPDEST,
+   out-of-range jumps, unassigned opcode bytes ---- *)
+
+(* Biased random bytecode: enough structure that jumps sometimes land and
+   storage/logs/calls execute, enough chaos to hit every decoder corner. *)
+let random_code rng =
+  let buf = Buffer.create 64 in
+  let byte b = Buffer.add_char buf (Char.chr (b land 0xff)) in
+  let segments = 1 + Random.State.int rng 24 in
+  for _ = 1 to segments do
+    match Random.State.int rng 10 with
+    | 0 ->
+      (* raw noise, including unassigned bytes *)
+      for _ = 0 to Random.State.int rng 6 do
+        byte (Random.State.int rng 256)
+      done
+    | 1 ->
+      (* PUSHk with full immediate — sometimes containing 0x5b bytes, so
+         push data that looks like JUMPDEST must stay unjumpable *)
+      let k = 1 + Random.State.int rng 32 in
+      byte (0x5f + k);
+      for _ = 1 to k do
+        byte (if Random.State.int rng 3 = 0 then 0x5b else Random.State.int rng 256)
+      done
+    | 2 ->
+      (* a plausible jump: push a small target, JUMP or JUMPI *)
+      byte 0x60;
+      byte (Random.State.int rng 96);
+      if Random.State.int rng 2 = 0 then byte 0x56
+      else begin
+        byte 0x60;
+        byte (Random.State.int rng 2);
+        byte 0x57
+      end
+    | 3 ->
+      (* an out-of-range jump *)
+      byte 0x61;
+      byte 0xff;
+      byte (Random.State.int rng 256);
+      byte 0x56
+    | 4 -> byte 0x5b (* JUMPDEST sprinkle *)
+    | 5 ->
+      (* storage traffic: PUSH1 v PUSH1 k SSTORE / PUSH1 k SLOAD *)
+      byte 0x60;
+      byte (Random.State.int rng 256);
+      byte 0x60;
+      byte (Random.State.int rng 8);
+      byte (if Random.State.int rng 2 = 0 then 0x55 else 0x54)
+    | 6 ->
+      (* memory + hash: PUSH1 len PUSH1 off SHA3 / MLOAD / MSTORE *)
+      byte 0x60;
+      byte (Random.State.int rng 64);
+      byte 0x60;
+      byte (Random.State.int rng 64);
+      byte (match Random.State.int rng 3 with 0 -> 0x20 | 1 -> 0x51 | _ -> 0x52)
+    | 7 ->
+      (* stack shuffle from the valid pool *)
+      let pool =
+        [| 0x01; 0x02; 0x03; 0x04; 0x06; 0x0a; 0x0b; 0x10; 0x14; 0x15; 0x16; 0x19; 0x1b;
+           0x1c; 0x1d; 0x30; 0x32; 0x33; 0x34; 0x36; 0x38; 0x3a; 0x3d; 0x41; 0x42; 0x43;
+           0x45; 0x46; 0x47; 0x50; 0x58; 0x59; 0x5a; 0x80; 0x81; 0x8f; 0x90; 0x91; 0x9f;
+           0xa0; 0xa1 |]
+      in
+      byte 0x60;
+      byte (Random.State.int rng 256);
+      byte pool.(Random.State.int rng (Array.length pool))
+    | 8 ->
+      (* call-family with junk operands (fails fast, exercises arity) *)
+      for _ = 1 to 7 do
+        byte 0x60;
+        byte (Random.State.int rng 32)
+      done;
+      byte [| 0xf1; 0xf2; 0xf4; 0xfa; 0xf0; 0xf3; 0xfd |].(Random.State.int rng 7)
+    | _ ->
+      (* terminator-ish *)
+      byte [| 0x00; 0xfe; 0xff |].(Random.State.int rng 3)
+  done;
+  (* one in four programs ends mid-immediate: the truncated-PUSH tail *)
+  if Random.State.int rng 4 = 0 then begin
+    let k = 2 + Random.State.int rng 31 in
+    byte (0x5f + k);
+    for _ = 1 to Random.State.int rng (k - 1) do
+      byte (Random.State.int rng 256)
+    done
+  end;
+  Buffer.contents buf
+
+let random_data rng =
+  String.init (Random.State.int rng 68) (fun _ -> Char.chr (Random.State.int rng 256))

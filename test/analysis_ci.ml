@@ -1,75 +1,52 @@
-(* The @analysis alias: run the static verifier over every corpus entry
-   and a bounded generated sweep (so corpus drift fails CI), check the
-   qcheck property that the verifier accepts everything the builder
-   produces, then confirm both seeded miscompilations are rejected by the
-   matching checker.  Exit non-zero on any violation of the clean runs or
-   any mutation that slips through. *)
+(* The @analysis alias: the verifier lane over every corpus run and a
+   bounded generated sweep (so corpus drift fails CI), the qcheck property
+   that the verifier accepts everything the builder produces, and both
+   seeded miscompilations caught by the matching checker.  Exit non-zero on
+   any finding of the clean runs or any fault that slips through. *)
 
 let seed = 42
 let iters = 8
+let lanes = [ Fuzz.Oracle.Verifier ]
 
-let pp_violation (ctx, v) = Fmt.pr "analysis-ci:   %s: %a@." ctx Analysis.Report.pp v
+let fail fmt = Printf.ksprintf (fun m -> print_endline m; exit 1) fmt
 
 let () =
-  let failed = ref false in
-
   (* 1. clean sweep: corpus + generated scenarios must all verify *)
-  let r = Fuzz.Checkrun.run ~corpus:"corpus" ~seed ~iters () in
+  let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters () in
+  let t = Fuzz.Oracle.total sw in
   Printf.printf
-    "analysis-ci: verified %d programs (%d paths) from %d corpus files + %d generated \
+    "analysis-ci: verified %d programs from %d corpus runs (%d files) + %d generated \
      scenarios, %d fallbacks\n%!"
-    r.summary.programs r.summary.paths r.corpus_files iters r.summary.fallbacks;
-  List.iter
-    (fun (f, e) ->
-      failed := true;
-      Printf.printf "analysis-ci: CORPUS ERROR %s: %s\n%!" f e)
-    r.corpus_errors;
-  if r.summary.violations <> [] then begin
-    failed := true;
-    Printf.printf "analysis-ci: %d VIOLATIONS on unmutated programs:\n%!"
-      (List.length r.summary.violations);
-    List.iter pp_violation r.summary.violations
-  end;
+    t.programs sw.corpus.scenarios sw.files iters t.fallbacks;
+  (match Fuzz.Oracle.sweep_problems ~lanes sw with
+  | [] -> ()
+  | ps ->
+    List.iter (Printf.printf "analysis-ci: %s\n") ps;
+    exit 1);
 
   (* 2. property: for any generator seed, builder output verifies *)
   let prop =
     QCheck.Test.make ~count:40 ~name:"verifier accepts builder output"
       QCheck.(int_bound 10_000)
       (fun s ->
-        let sum =
-          Fuzz.Checkrun.verify_scenario ~label:"prop" (Fuzz.Driver.generate ~seed:s 0)
-        in
-        if sum.violations <> [] then List.iter pp_violation sum.violations;
-        sum.violations = [])
+        let w = Fuzz.Oracle.of_scenario ~label:"prop" (Fuzz.Generate.seeded ~seed:s 0) in
+        match (Fuzz.Oracle.run ~lanes w).findings with
+        | [] -> true
+        | f :: _ -> QCheck.Test.fail_reportf "%a" Fuzz.Oracle.pp_finding f)
   in
   (try QCheck.Test.check_exn prop
-   with exn ->
-     failed := true;
-     Printf.printf "analysis-ci: PROPERTY FAILED: %s\n%!" (Printexc.to_string exn));
+   with exn -> fail "analysis-ci: PROPERTY FAILED: %s" (Printexc.to_string exn));
 
-  (* 3. each seeded miscompilation must be rejected by its checker *)
+  (* 3. each seeded miscompilation must be caught by its checker *)
   List.iter
-    (fun m ->
-      let name = Fuzz.Checkrun.mutation_name m in
-      let expected = Fuzz.Checkrun.expected_kind m in
-      let r = Fuzz.Checkrun.run ~mutate:m ~corpus:"corpus" ~seed ~iters () in
-      let hits =
-        List.filter
-          (fun ((_, v) : string * Analysis.Report.violation) -> v.kind = expected)
-          r.summary.violations
-      in
-      if r.summary.mutated > 0 && hits <> [] then
-        Printf.printf "analysis-ci: mutation %s rejected (%d %s violations on %d programs)\n%!"
-          name (List.length hits)
-          (Analysis.Report.kind_name expected)
-          r.summary.mutated
-      else begin
-        failed := true;
-        Printf.printf "analysis-ci: MUTATION %s NOT REJECTED (%d mutated, %d %s hits)\n%!"
-          name r.summary.mutated (List.length hits)
-          (Analysis.Report.kind_name expected)
-      end)
-    [ Fuzz.Checkrun.M_add; Fuzz.Checkrun.M_drop_guard ];
-
-  if !failed then exit 1;
-  print_string "analysis-ci: verifier clean on corpus + generated, both mutations rejected\n"
+    (fun fault ->
+      let sw = Fuzz.Oracle.sweep ~lanes ~fault ~corpus:"corpus" ~seed ~iters () in
+      let t = Fuzz.Oracle.total sw in
+      let name = Fuzz.Oracle.fault_name fault in
+      match List.filter (Fuzz.Oracle.expected fault) t.findings with
+      | [] -> fail "analysis-ci: MUTATION %s NOT CAUGHT" name
+      | f :: _ as hits ->
+        Printf.printf "analysis-ci: mutation %s caught (%d %s findings on %d programs)\n%!"
+          name (List.length hits) f.field t.programs)
+    [ Fuzz.Oracle.Add; Fuzz.Oracle.Drop_guard ];
+  print_string "analysis-ci: verifier clean on corpus + generated, both mutations caught\n"

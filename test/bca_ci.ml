@@ -4,11 +4,11 @@
       generated scenarios per fork must show ZERO footprint violations —
       every runtime touch and committed change inside the static
       prediction, every calldata-independence claim surviving its witness
-      flip (Fuzz.Bcarun).
+      flip (the footprint lane of Fuzz.Oracle).
    2. Narrowing rejection: each seeded [Bca.narrowing] makes exactly one
-      domain unsound, and the same sweep (sentinels included) must then
-      report at least one violation — the mirror of `forerunner check`'s
-      seeded-miscompilation contract.
+      domain unsound, and the same sweep must then report a finding on
+      that domain's sentinel — the same contract as `forerunner check`'s
+      seeded miscompilations.
    3. 4-domain analysis-cache hammer: concurrent [Bca.facts_for] calls —
       with one domain repeatedly clearing the cache to force racing
       re-analyses — must always return facts identical to the
@@ -19,44 +19,45 @@ let iters_per_fork = 200
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
+let lanes = [ Fuzz.Oracle.Footprint ]
+
 let positive_sweep () =
-  let r = Fuzz.Bcarun.run ~corpus:"corpus" ~seed ~iters:iters_per_fork () in
-  List.iter (fun (f, e) -> Printf.printf "bca-ci: corpus error %s: %s\n" f e) r.corpus_errors;
-  let s = r.report in
+  let sw =
+    Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters:iters_per_fork
+      ~per_fork:Spec.all_forks ()
+  in
+  let t = Fuzz.Oracle.total sw in
   Printf.printf
-    "bca-ci: %d scenarios (%d corpus files, %d/fork generated x %d forks), %d txs: %d \
-     touches + %d changes covered, %d wild, %d witness flips\n%!"
-    s.scenarios r.corpus_files iters_per_fork Spec.n_forks s.txs s.touches_checked
-    s.changes_checked s.wild s.flips;
-  List.iter (fun v -> Fmt.pr "bca-ci: VIOLATION %a@." Fuzz.Bcarun.pp_violation v) s.violations;
-  if s.violations <> [] then
-    fail "bca-ci: SOUNDNESS FAILURE: %d footprint violation(s)" (List.length s.violations);
-  if r.corpus_errors <> [] then fail "bca-ci: unreadable corpus entries";
-  if s.touches_checked = 0 || s.changes_checked = 0 || s.flips = 0 then
-    fail "bca-ci: sweep checked nothing (touches=%d changes=%d flips=%d)" s.touches_checked
-      s.changes_checked s.flips
+    "bca-ci: %d scenarios (4 sentinels, %d corpus files, %d/fork generated x %d forks), %d \
+     txs: %d touches + %d changes covered, %d wild, %d witness flips\n%!"
+    t.scenarios sw.files iters_per_fork Spec.n_forks t.txs t.touches t.changes t.wild t.flips;
+  match Fuzz.Oracle.sweep_problems ~lanes sw with
+  | [] -> ()
+  | ps ->
+    List.iter (Printf.printf "bca-ci: %s\n") ps;
+    fail "bca-ci: SOUNDNESS FAILURE: %d problem(s)" (List.length ps)
 
 let narrowing_rejections () =
   List.iter
     (fun n ->
       (* a small sweep suffices: the sentinels are built to trip each
          narrowed domain deterministically *)
-      let r = Fuzz.Bcarun.run ~narrow:n ~corpus:"corpus" ~seed ~iters:2 () in
-      let name = Bca.narrowing_name n in
-      if r.report.violations = [] then
-        fail "bca-ci: NARROWING %s NOT REJECTED: sweep reported zero violations" name;
-      Printf.printf "bca-ci: narrowing %-9s rejected (%d violation(s), e.g. %s)\n%!" name
-        (List.length r.report.violations)
-        (match r.report.violations with v :: _ -> v.v_ctx | [] -> assert false))
-    [ Bca.N_cfg; Bca.N_stack; Bca.N_footprint; Bca.N_calldata ];
-  if !Bca.seeded_narrowing <> None then
-    fail "bca-ci: narrowing leaked out of the rejection runs"
+      let fault = Fuzz.Oracle.Narrow n in
+      let sw =
+        Fuzz.Oracle.sweep ~lanes ~fault ~corpus:"corpus" ~seed ~iters:2 ~per_fork:Spec.all_forks ()
+      in
+      let t = Fuzz.Oracle.total sw and name = Bca.narrowing_name n in
+      if not (Fuzz.Oracle.caught fault t) then
+        fail "bca-ci: NARROWING %s NOT CAUGHT by sentinel %s" name (Fuzz.Oracle.sentinel_name n);
+      Printf.printf "bca-ci: narrowing %-9s caught (%d finding(s), sentinel %s)\n%!" name
+        (List.length t.findings) (Fuzz.Oracle.sentinel_name n))
+    Fuzz.Oracle.narrowings
 
 let cache_hammer () =
   let codes =
     List.concat_map
       (fun i ->
-        let s = Fuzz.Driver.generate ~seed:7 i in
+        let s = Fuzz.Generate.seeded ~seed:7 i in
         List.map (Fuzz.Scenario.compile s) s.Fuzz.Scenario.contracts)
       [ 0; 1; 2; 3 ]
   in

@@ -1,29 +1,28 @@
-(* The @fuzz alias: replay every checked-in corpus counterexample, then a
-   bounded fixed-seed fuzz pass.  Exit non-zero on any divergence — this is
+(* The @fuzz alias: the conformance lanes over every corpus counterexample
+   (under the fork rule) and a bounded fixed-seed generated sweep.  Exit
+   non-zero on any finding, and on a lane that checked nothing — this is
    the conformance toll every PR pays via `dune runtest`. *)
 
 let iters = 500
 let seed = 42
+let lanes = Fuzz.Oracle.conformance
 
 let () =
-  let corpus_failures, n_replayed = Fuzz.Driver.replay_corpus "corpus" in
-  Printf.printf "fuzz-ci: corpus %d/%d entries clean\n%!"
-    (n_replayed - List.length corpus_failures)
-    n_replayed;
-  List.iter
-    (fun (f : Fuzz.Driver.corpus_failure) ->
-      Printf.printf "fuzz-ci: CORPUS FAILURE %s: %s\n%!" f.path f.problem)
-    corpus_failures;
-  let s = Fuzz.Driver.fuzz ~seed ~iters () in
-  Printf.printf "fuzz-ci: %d iterations (seed %d): %d txs, %d fallbacks, %d perturbed \
-                 violations, %d perturbed hits, %d warm-built cold-replay violations\n%!"
-    s.iters_run seed s.total_txs s.build_fallbacks s.perturbed_violations s.perturbed_hits
-    s.warm_violations;
-  match (s.finding, corpus_failures) with
-  | None, [] -> print_string "fuzz-ci: all three engines agree\n"
-  | Some f, _ ->
-    Printf.printf "fuzz-ci: DIVERGENCE at iteration %d, shrunk scenario:\n%s%!" f.iter
-      (Fuzz.Scenario.to_string f.scenario);
-    List.iter (fun d -> Fmt.pr "fuzz-ci:   %a@." Fuzz.Oracle.pp_divergence d) f.divergences;
+  let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters () in
+  let g = sw.generated in
+  Printf.printf "fuzz-ci: corpus %d runs from %d entries\n" sw.corpus.scenarios sw.files;
+  Printf.printf
+    "fuzz-ci: %d iterations (seed %d): %d txs, %d fallbacks, %d perturbed violations, %d \
+     perturbed hits, %d warm-built cold-replay violations\n%!"
+    g.scenarios seed g.txs g.fallbacks g.perturbed_violations g.perturbed_hits g.warm_violations;
+  Option.iter
+    (fun ((iter, _) as failure) ->
+      let s = Fuzz.Driver.shrink ~lanes ~seed failure in
+      Printf.printf "fuzz-ci: iteration %d diverges, shrunk scenario:\n%s\n" iter
+        (Fuzz.Scenario.to_string s.scenario))
+    sw.first_failure;
+  match Fuzz.Oracle.sweep_problems ~lanes sw with
+  | [] -> print_string "fuzz-ci: all engines agree\n"
+  | ps ->
+    List.iter (Printf.printf "fuzz-ci: %s\n") ps;
     exit 1
-  | None, _ :: _ -> exit 1

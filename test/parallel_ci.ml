@@ -1,64 +1,19 @@
-(* The @parallel alias: conflict-aware parallel block apply checked against
-   the sequential reference on the full fuzz corpus plus a bounded
-   generated sweep.  Every scenario's committed state root (and every
-   receipt field) must be byte-identical at jobs=1 and jobs=4 — exit
-   non-zero on any divergence. *)
+(* The @parallel alias: conflict-aware parallel block apply at jobs=1 and
+   jobs=4 checked against the reference on every corpus run plus a bounded
+   generated sweep — every receipt field and the committed block root must
+   be byte-identical.  Exit non-zero on any finding. *)
 
-let jobs = 4
-let sweep_iters = 8
-let seed = 1301
-
-let check_scenario what s bad =
-  let r = Fuzz.Parallel.check_apply ~jobs s in
-  if r.Fuzz.Parallel.a_mismatches <> [] then begin
-    incr bad;
-    Printf.printf "parallel-ci: MISMATCH %s:\n%!" what;
-    List.iter
-      (fun m -> Fmt.pr "parallel-ci:   %a@." Fuzz.Parallel.pp_mismatch m)
-      r.Fuzz.Parallel.a_mismatches
-  end;
-  r
+let lanes = [ Fuzz.Oracle.Apply 4 ]
 
 let () =
-  let bad = ref 0 in
-  let txs = ref 0 and aborted = ref 0 and forced = ref 0 in
-  let tally (r : Fuzz.Parallel.apply_report) =
-    txs := !txs + r.a_txs;
-    aborted := !aborted + r.a_aborted;
-    forced := !forced + r.a_forced
-  in
-  (* corpus *)
-  let files =
-    if Sys.file_exists "corpus" then
-      Sys.readdir "corpus" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-      |> List.sort String.compare
-      |> List.map (Filename.concat "corpus")
-    else []
-  in
-  List.iter
-    (fun path ->
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match Fuzz.Scenario.of_string s with
-      | Error m ->
-        incr bad;
-        Printf.printf "parallel-ci: PARSE ERROR %s: %s\n%!" path m
-      | Ok scenario -> tally (check_scenario path scenario bad))
-    files;
-  Printf.printf "parallel-ci: corpus %d scenarios root-identical\n%!" (List.length files);
-  (* generated sweep *)
-  for iter = 0 to sweep_iters - 1 do
-    tally
-      (check_scenario
-         (Printf.sprintf "seed %d iter %d" seed iter)
-         (Fuzz.Driver.generate ~seed iter)
-         bad)
-  done;
+  let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed:1301 ~iters:8 () in
+  let t = Fuzz.Oracle.total sw in
   Printf.printf
-    "parallel-ci: %d txs applied twice per jobs count; %d aborts, %d forced reruns\n%!"
-    !txs !aborted !forced;
-  if !bad > 0 then exit 1
-  else print_string "parallel-ci: parallel apply = sequential apply everywhere\n"
+    "parallel-ci: %d corpus runs (%d files) + %d generated: %d txs applied per jobs count; \
+     %d aborts, %d forced reruns\n%!"
+    sw.corpus.scenarios sw.files sw.generated.scenarios t.txs t.aborts t.forced;
+  match Fuzz.Oracle.sweep_problems ~lanes sw with
+  | [] -> print_string "parallel-ci: parallel apply = sequential apply everywhere\n"
+  | ps ->
+    List.iter (Printf.printf "parallel-ci: %s\n") ps;
+    exit 1

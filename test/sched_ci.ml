@@ -149,27 +149,13 @@ let () =
   forget_bound_regression ~jobs:1;
   forget_bound_regression ~jobs:4;
   print_string "sched-ci: dedupe, keep-latest and forget-bound policies hold (jobs=1 and jobs=4)\n";
-  let failures, n = Fuzz.Parallel.check_corpus ~jobs "corpus" in
-  Printf.printf "sched-ci: corpus %d/%d scenarios parallel-deterministic\n%!"
-    (n - List.length failures)
-    n;
-  List.iter
-    (fun (f : Fuzz.Parallel.corpus_failure) ->
-      Printf.printf "sched-ci: CORPUS MISMATCH %s: %s\n%!" f.path f.problem)
-    failures;
-  let bad = ref (List.length failures) in
-  let txs = ref 0 and aps = ref 0 in
-  for iter = 0 to sweep_iters - 1 do
-    let r = Fuzz.Parallel.check ~jobs (Fuzz.Driver.generate ~seed iter) in
-    txs := !txs + r.txs;
-    aps := !aps + r.aps_checked;
-    if r.mismatches <> [] then begin
-      incr bad;
-      Printf.printf "sched-ci: MISMATCH seed %d iter %d:\n%!" seed iter;
-      List.iter (fun m -> Fmt.pr "sched-ci:   %a@." Fuzz.Parallel.pp_mismatch m) r.mismatches
-    end
-  done;
+  let lanes = [ Fuzz.Oracle.Speculation jobs ] in
+  let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters:sweep_iters () in
+  Printf.printf "sched-ci: corpus %d runs from %d files\n" sw.corpus.scenarios sw.files;
   Printf.printf "sched-ci: sweep %d iterations (seed %d): %d txs, %d AP fingerprints compared\n%!"
-    sweep_iters seed !txs !aps;
-  if !bad > 0 then exit 1
-  else print_string "sched-ci: jobs=4 and jobs=1 speculation agree everywhere\n"
+    sweep_iters seed sw.generated.txs sw.generated.fingerprints;
+  match Fuzz.Oracle.sweep_problems ~lanes sw with
+  | [] -> print_string "sched-ci: jobs=4 and jobs=1 speculation agree everywhere\n"
+  | ps ->
+    List.iter (Printf.printf "sched-ci: %s\n") ps;
+    exit 1

@@ -5,7 +5,10 @@
    corpus + 200-per-fork sweep lives in bca_ci (`dune build @bca`); this
    suite keeps a lighter property inside `dune test`. *)
 
+module O = Fuzz.Oracle
+
 let checkb = Alcotest.(check bool)
+let lanes = [ O.Footprint ]
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -20,49 +23,32 @@ let footprint_sound =
          List.for_all
            (fun fork ->
              let s =
-               { (Fuzz.Driver.generate ~seed:97 i) with Fuzz.Scenario.fork = Some fork }
+               { (Fuzz.Generate.seeded ~seed:97 i) with Fuzz.Scenario.fork = Some fork }
              in
              let label = Printf.sprintf "qcheck(iter=%d)" i in
-             let r = Fuzz.Bcarun.check_scenario ~label s in
-             if r.violations <> [] then
-               QCheck.Test.fail_reportf "iter %d [%s]: %a" i (Spec.fork_name fork)
-                 Fuzz.Bcarun.pp_violation (List.hd r.violations)
-             else true)
+             match (O.run ~lanes (O.of_scenario ~label s)).findings with
+             | [] -> true
+             | f :: _ -> QCheck.Test.fail_reportf "%a" O.pp_finding f)
            Spec.all_forks))
 
 (* ---- negative cases: each narrowing must trip its sentinel ---- *)
 
-let sentinel_of = function
-  | Bca.N_cfg -> "cfg-taken-branch"
-  | Bca.N_stack -> "stack-dup-key"
-  | Bca.N_footprint -> "footprint-sstore"
-  | Bca.N_calldata -> "calldata-eq-branch"
-
 let narrowing_tripped n () =
-  Fun.protect
-    ~finally:(fun () -> Bca.seeded_narrowing := None)
-    (fun () ->
-      Bca.seeded_narrowing := Some n;
-      let r = Fuzz.Bcarun.check_sentinels () in
-      let name = Bca.narrowing_name n and want = sentinel_of n in
-      checkb
-        (Printf.sprintf "narrowing %s yields violations" name)
-        true (r.violations <> []);
-      let contains hay sub =
-        let n = String.length hay and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
-        go 0
-      in
-      let in_ctx sub (v : Fuzz.Bcarun.violation) = contains v.v_ctx sub in
-      checkb
-        (Printf.sprintf "narrowing %s trips sentinel %s" name want)
-        true
-        (List.exists (in_ctx want) r.violations))
+  let fault = O.Narrow n in
+  let r = O.run ~fault ~lanes (O.sentinel n) in
+  checkb
+    (Printf.sprintf "narrowing %s trips sentinel %s" (Bca.narrowing_name n) (O.sentinel_name n))
+    true (O.caught fault r)
 
 let narrowing_does_not_leak () =
   checkb "no narrowing active after the negative cases" true (!Bca.seeded_narrowing = None);
-  let r = Fuzz.Bcarun.check_sentinels () in
-  checkb "sentinels are clean without a narrowing" true (r.violations = [])
+  List.iter
+    (fun n ->
+      checkb
+        (O.sentinel_name n ^ " is clean without a narrowing")
+        true
+        ((O.run ~lanes (O.sentinel n)).findings = []))
+    O.narrowings
 
 let suite =
   [ footprint_sound;

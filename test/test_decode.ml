@@ -2,10 +2,10 @@
    against the legacy match-dispatch interpreter (DESIGN.md §11).
 
    Five batteries, exit non-zero on any divergence:
-   1. every checked-in corpus scenario, both engines, per-tx receipts +
-      committed roots + touched-account sets;
+   1. every corpus run (under the oracle's fork rule), the legacy lane of
+      Fuzz.Oracle: per-tx receipts + committed roots + touched-account sets;
    2. a fixed-seed generated-scenario sweep (structured gadget programs);
-   3. a qcheck-generated random-bytecode sweep biased at the decoder's
+   3. the same lane over a qcheck-generated random-bytecode sweep biased at the decoder's
       corners — truncated PUSH tails, PUSH data that looks like JUMPDEST,
       out-of-range jumps, unassigned opcode bytes;
    4. a 4-domain cache hammer: lib/sched workers decoding and executing
@@ -20,61 +20,46 @@ let raw_iters = 1200
 let seed = 42
 
 let failures = ref 0
+let lanes = [ Fuzz.Oracle.Legacy ]
 
-let report ~battery ~case divs =
-  if divs <> [] then begin
+let report ~battery problems =
+  if problems <> [] then begin
     incr failures;
-    Printf.printf "decode-ci: DIVERGENCE [%s] %s:\n%!" battery case;
-    List.iter (fun d -> Fmt.pr "decode-ci:   %a@." Fuzz.Oracle.pp_divergence d) divs
+    List.iter (Printf.printf "decode-ci: [%s] %s\n%!" battery) problems
   end
 
-(* ---- 1: corpus scenarios ---- *)
+(* ---- 1 + 2: corpus runs and generated scenarios ---- *)
 
-let corpus_battery () =
-  let files =
-    if Sys.file_exists "corpus" then
-      Sys.readdir "corpus" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-      |> List.sort String.compare
-    else []
-  in
-  List.iter
-    (fun f ->
-      let path = Filename.concat "corpus" f in
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Fuzz.Scenario.of_string s with
-      | Error m ->
-        incr failures;
-        Printf.printf "decode-ci: CORPUS PARSE ERROR %s: %s\n%!" path m
-      | Ok sc -> report ~battery:"corpus" ~case:path (Fuzz.Enginediff.diff_scenario sc))
-    files;
-  List.length files
-
-(* ---- 2: generated scenarios ---- *)
-
-let scenario_battery () =
-  for iter = 0 to scenario_iters - 1 do
-    let sc = Fuzz.Driver.generate ~seed iter in
-    report ~battery:"scenario" ~case:(Printf.sprintf "iter %d" iter)
-      (Fuzz.Enginediff.diff_scenario sc)
-  done
+let scenario_batteries () =
+  let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters:scenario_iters () in
+  report ~battery:"scenario" (Fuzz.Oracle.sweep_problems ~lanes sw);
+  sw
 
 (* ---- 3: random bytecode via a qcheck generator ---- *)
 
 let raw_case_gen : (string * string) QCheck.Gen.t =
- fun rng -> (Fuzz.Enginediff.random_code rng, Fuzz.Enginediff.random_data rng)
+ fun rng -> (Fuzz.Generate.random_code rng, Fuzz.Generate.random_data rng)
 
 let raw_battery () =
   let rand = Random.State.make [| 0xDEC0DE; seed |] in
   let cases = QCheck.Gen.generate ~rand ~n:raw_iters raw_case_gen in
-  List.iteri
-    (fun i (code, data) ->
-      report ~battery:"raw"
-        ~case:(Printf.sprintf "case %d (%s)" i (Fuzz.Sexp.hex_of_string code))
-        (Fuzz.Enginediff.diff_code ~data ~tx:i code))
-    cases
+  let raw =
+    List.mapi
+      (fun i (code, data) ->
+        let label = Printf.sprintf "raw case %d (%s)" i (Fuzz.Sexp.hex_of_string code) in
+        Fuzz.Oracle.run ~lanes (Fuzz.Oracle.of_code ~label ~data code))
+      cases
+  in
+  let t = List.fold_left Fuzz.Oracle.merge (Fuzz.Oracle.empty ()) raw in
+  report ~battery:"raw" (Fuzz.Oracle.problems ~lanes t);
+  t.scenarios
+
+(* One decoded-engine run of [code] in a world of its own: committed root
+   and gas used. *)
+let run_code ?spec code =
+  let w = Fuzz.Oracle.of_code ?spec ~label:"hammer" ~data:"" code in
+  let s = Fuzz.Oracle.execute w ~root:w.root0 w.txs.(0) in
+  (Fuzz.Sexp.hex_of_string s.post, s.receipt.gas_used)
 
 (* ---- 4: concurrent decode-cache hammer ---- *)
 
@@ -100,12 +85,7 @@ let hammer_battery () =
     Sched.submit s
       ~hash:(Printf.sprintf "hammer%d" i)
       ~root:"r" ~priority:(U256.of_int 1)
-      (fun () ->
-        let r, root =
-          Fuzz.Enginediff.run_code ~engine:Evm.Interp.Decoded ~code:hammer_code ~data:""
-            ~gas_limit:200_000 ~value:U256.zero ()
-        in
-        (Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used))
+      (fun () -> run_code hammer_code)
   done;
   Sched.barrier s;
   let results =
@@ -184,12 +164,8 @@ let mixed_spec_battery () =
           ~hash:(Printf.sprintf "mixed%d-%d" fi i)
           ~root:"r" ~priority:(U256.of_int 1)
           (fun () ->
-            let spec = Spec.resolve fork in
-            let r, root =
-              Fuzz.Enginediff.run_code ~spec ~engine:Evm.Interp.Decoded ~code:mixed_code
-                ~data:"" ~gas_limit:200_000 ~value:U256.zero ()
-            in
-            (Spec.fork_name fork, Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used))
+            let root, gas = run_code ~spec:(Spec.resolve fork) mixed_code in
+            (Spec.fork_name fork, root, gas))
       done)
     Spec.all_forks;
   Sched.barrier s;
@@ -257,12 +233,11 @@ let mixed_spec_battery () =
     Spec.all_forks
 
 let () =
-  let n_corpus = corpus_battery () in
-  Printf.printf "decode-ci: corpus: %d scenarios\n%!" n_corpus;
-  scenario_battery ();
-  Printf.printf "decode-ci: generated: %d scenarios (seed %d)\n%!" scenario_iters seed;
-  raw_battery ();
-  Printf.printf "decode-ci: raw bytecode: %d cases (seed %d)\n%!" raw_iters seed;
+  let sw = scenario_batteries () in
+  Printf.printf "decode-ci: corpus: %d runs from %d files\n%!" sw.corpus.scenarios sw.files;
+  Printf.printf "decode-ci: generated: %d scenarios (seed %d)\n%!" sw.generated.scenarios seed;
+  let n_raw = raw_battery () in
+  Printf.printf "decode-ci: raw bytecode: %d cases (seed %d)\n%!" n_raw seed;
   hammer_battery ();
   Printf.printf "decode-ci: hammer: 64 jobs across 4 domains, one code hash\n%!";
   mixed_spec_battery ();

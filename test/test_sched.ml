@@ -358,12 +358,11 @@ let test_obs_hammer () =
 
 let test_parallel_oracle () =
   for iter = 0 to 1 do
-    let s = Fuzz.Driver.generate ~seed:7 iter in
-    let r = Fuzz.Parallel.check ~jobs:4 s in
+    let w = Fuzz.Oracle.of_scenario ~label:"gen" (Fuzz.Generate.seeded ~seed:7 iter) in
+    let r = Fuzz.Oracle.run ~lanes:[ Speculation 4 ] w in
     Alcotest.(check int)
-      (Printf.sprintf "iter %d: jobs=4 matches jobs=1 on %d txs" iter r.Fuzz.Parallel.txs)
-      0
-      (List.length r.Fuzz.Parallel.mismatches)
+      (Printf.sprintf "iter %d: jobs=4 matches jobs=1 on %d txs" iter r.txs)
+      0 (List.length r.findings)
   done
 
 let suite =
