@@ -311,8 +311,7 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = false) st
         (fun idx tx ->
           if not serial.(idx) then begin
             incr n_submitted;
-            Sched.submit sched ~hash:(Evm.Env.tx_hash tx) ~root:parent_root
-              ~priority:tx.Evm.Env.gas_price
+            Sched.submit sched ~hash:(Evm.Env.tx_hash tx) ~priority:tx.Evm.Env.gas_price
               (speculate_one ~spec bk ~parent_root ~ap benv idx tx)
           end)
         txs_arr;

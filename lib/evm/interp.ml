@@ -51,11 +51,8 @@ type status = Returned of string | Reverted of string | Failed of fail_reason
 (* Raised by terminator opcodes to end the current frame. *)
 exception Frame_done of status
 
+(* [Legacy] is a test-only selection — see [make_ctx]. *)
 type engine = Decoded | Legacy
-
-(* The process-wide default; [Legacy] is a test-only selection — see
-   [make_ctx]. *)
-let default_engine = ref Decoded
 
 type ctx = {
   st : Statedb.t;
@@ -73,13 +70,13 @@ type ctx = {
   mutable steps_executed : int;
 }
 
-let make_ctx ?engine ?spec ?trace st benv ~origin ~gas_price =
+let make_ctx ?(engine = Decoded) ?spec ?trace st benv ~origin ~gas_price =
   {
     st;
     benv;
     origin;
     gas_price;
-    engine = (match engine with Some e -> e | None -> !default_engine);
+    engine;
     spec = (match spec with Some s -> s | None -> !Spec.current);
     trace;
     logs = [];

@@ -33,9 +33,6 @@ type engine =
           differential battery ([@decode], the fuzz oracle, [bench interp])
           pins [Decoded] against it byte-for-byte. *)
 
-val default_engine : engine ref
-(** What {!make_ctx} uses when no [?engine] is given; [Decoded]. *)
-
 (** Per-execution context shared by all frames of one transaction. *)
 type ctx = {
   st : Statedb.t;
@@ -66,8 +63,9 @@ val make_ctx :
   origin:Address.t ->
   gas_price:U256.t ->
   ctx
-(** [?spec] defaults to [!Spec.current].  The warm sets start empty; the
-    processor seeds sender/target/prewarm via {!warm_entry}. *)
+(** [?engine] defaults to [Decoded], [?spec] to [!Spec.current].  The warm
+    sets start empty; the processor seeds sender/target/prewarm via
+    {!warm_entry}. *)
 
 val warm_entry : ctx -> Address.t * U256.t option -> unit
 (** Seed one entry-warm location: [(a, None)] warms the account,

@@ -74,9 +74,9 @@ let obs_fork_id = Obs.gauge "spec.fork_id"
 
 (* Execute [tx] against [st] in block environment [benv], mutating [st]
    (committed state is only advanced by the caller's [Statedb.commit]).
-   [engine] defaults to {!Interp.default_engine} (the decoded engine);
-   [Interp.Legacy] is the test-only reference selection the differential
-   battery pins the decoded engine against. *)
+   [engine] defaults to [Interp.Decoded]; [Interp.Legacy] is the test-only
+   reference selection the differential battery pins the decoded engine
+   against. *)
 let execute_tx ?engine ?spec ?(prewarm = []) ?trace st (benv : Env.block_env)
     (tx : Env.tx) : receipt =
   let spec = match spec with Some s -> s | None -> !Spec.current in

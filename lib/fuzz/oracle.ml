@@ -383,7 +383,7 @@ let speculate ?fault w (reference : step array) ~jobs =
   Array.iteri
     (fun i (tx : Evm.Env.tx) ->
       let root = reference.(i).pre in
-      Sched.submit sched ~hash:(Evm.Env.tx_hash tx) ~root ~priority:tx.gas_price (job tx root))
+      Sched.submit sched ~hash:(Evm.Env.tx_hash tx) ~priority:tx.gas_price (job tx root))
     w.txs;
   Sched.barrier sched;
   Sched.drain sched

@@ -2,41 +2,27 @@
 
    Concurrency structure: one producer (the node's replay loop), [jobs]
    worker domains.  The work queue carries only tx hashes; the requests
-   themselves live in per-hash [cell]s under [t.mu].  A hash is in the
-   queue at most once per cell generation — a worker that pops it claims
-   the cell and then runs the cell's whole chain to empty, which is what
-   serialises same-tx jobs (they mutate the same spec record) without any
-   per-job locking.  Stale queue entries (their cell was cancelled or
-   claimed meanwhile) are simply skipped on pop, which lets cancel and
-   invalidate edit cells without having to reach into the queue. *)
+   themselves live in per-hash chains under [t.mu].  A chain is created by
+   the submission that finds none for its hash, and that submission alone
+   pushes the hash onto the queue; the worker that pops the hash runs the
+   chain to empty and then removes it.  So every queue entry names exactly
+   one live, not-yet-claimed, non-empty chain, which [worker] relies on —
+   and which serialises same-tx jobs (they mutate the same spec record)
+   without any per-job locking. *)
 
 (* re-exported: the library wrapper hides sibling modules behind [Sched] *)
 module Workq = Workq
 module Mailbox = Mailbox
 module Conflict = Conflict
 
-type 'r req = { seq : int; hash : string; root : string; prio : U256.t; job : unit -> 'r }
+type 'r req = { seq : int; hash : string; job : unit -> 'r }
 
-type 'r result = {
-  r_seq : int;
-  r_hash : string;
-  r_root : string;
-  r_value : ('r, exn) Stdlib.result;
-}
-
-type 'r cell = {
-  mutable chain : 'r req list; (* submission order *)
-  mutable running : bool;
-  mutable in_queue : bool;
-  mutable kill : bool; (* cancel arrived while running: suppress result *)
-}
+type 'r result = { r_seq : int; r_hash : string; r_value : ('r, exn) Stdlib.result }
 
 type stats = {
   jobs : int;
   submitted : int;
   completed : int;
-  cancelled : int;
-  requeued : int;
   merged : int;
   deduped : int;
   queued : int;
@@ -49,17 +35,14 @@ type 'r t = {
   q : string Workq.t;
   mu : Mutex.t;
   idle : Condition.t;
-  cells : (string, 'r cell) Hashtbl.t;
+  cells : (string, 'r req Queue.t) Hashtbl.t; (* hash -> chain, submission order *)
   memo : (string, string) Hashtbl.t; (* hash -> dedupe key of latest live submission *)
-  latest : (string, int) Hashtbl.t; (* hash -> seq of newest enqueued submission *)
   results : 'r result Mailbox.t;
   mutable next_seq : int;
   mutable n_queued : int; (* requests sitting in chains *)
   mutable n_running : int;
   mutable s_submitted : int;
   mutable s_completed : int;
-  mutable s_cancelled : int;
-  mutable s_requeued : int;
   mutable s_merged : int;
   mutable s_deduped : int;
   mutable domains : unit Domain.t list;
@@ -71,8 +54,6 @@ let empty_stats =
     jobs = 1;
     submitted = 0;
     completed = 0;
-    cancelled = 0;
-    requeued = 0;
     merged = 0;
     deduped = 0;
     queued = 0;
@@ -82,90 +63,50 @@ let empty_stats =
 
 let obs_submitted = Obs.counter "sched.submitted"
 let obs_completed = Obs.counter "sched.completed"
-let obs_cancelled = Obs.counter "sched.cancelled"
-let obs_requeued = Obs.counter "sched.requeued"
 let obs_deduped = Obs.counter "sched.deduped"
 let obs_depth = Obs.gauge "sched.queue_depth"
 
 let jobs t = t.n_jobs
 
+(* [f] under [t.mu] in parallel mode; inline mode is single-threaded *)
+let locked t f = if t.n_jobs <= 1 then f () else Mutex.protect t.mu f
+
 let run_job job = try Ok (Obs.span "sched.job" job) with e -> Error e
 
-let publish t req value =
-  Mailbox.push t.results
-    { r_seq = req.seq; r_hash = req.hash; r_root = req.root; r_value = value }
+let complete t req value =
+  Mailbox.push t.results { r_seq = req.seq; r_hash = req.hash; r_value = value };
+  t.s_completed <- t.s_completed + 1;
+  Obs.incr obs_completed
 
-(* under [t.mu] *)
-let signal_if_idle t = if t.n_queued = 0 && t.n_running = 0 then Condition.broadcast t.idle
+(* Worker side: run [hash]'s chain until it is empty, then retire it. *)
 
-(* Worker side.  [claim] pops the head request of [hash]'s cell, if the cell
-   is still live and unclaimed; [run_chain] then executes requests for that
-   hash until the chain is empty (or a cancel kills it). *)
-
-let claim t hash =
-  match Hashtbl.find_opt t.cells hash with
-  | None -> None (* cancelled since queued *)
-  | Some c ->
-    c.in_queue <- false;
-    if c.running then None (* fresher queue entry already claimed it *)
-    else (
-      match c.chain with
-      | [] ->
-        Hashtbl.remove t.cells hash;
-        None
-      | req :: rest ->
-        c.chain <- rest;
-        c.running <- true;
-        t.n_queued <- t.n_queued - 1;
-        t.n_running <- t.n_running + 1;
-        Some (c, req))
-
-(* under [t.mu]; releases it *)
-let retire t hash (c : _ cell) =
-  c.running <- false;
-  if c.chain = [] && not c.in_queue then Hashtbl.remove t.cells hash;
-  t.n_running <- t.n_running - 1;
-  if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
-  signal_if_idle t;
-  Mutex.unlock t.mu
-
-let rec run_chain t hash (c : _ cell) req =
+let rec run_chain t hash chain req =
   let value = run_job req.job in
   Mutex.lock t.mu;
-  if c.kill then begin
-    (* the tx got included (or otherwise cancelled) while we ran: drop the
-       result and whatever is still chained behind it *)
-    let n_dropped = 1 + List.length c.chain in
-    t.n_queued <- t.n_queued - List.length c.chain;
-    c.chain <- [];
-    c.kill <- false;
-    t.s_cancelled <- t.s_cancelled + n_dropped;
-    Obs.add obs_cancelled n_dropped;
-    retire t hash c
-  end
-  else begin
-    publish t req value;
-    t.s_completed <- t.s_completed + 1;
-    Obs.incr obs_completed;
-    match c.chain with
-    | next :: rest ->
-      c.chain <- rest;
-      t.n_queued <- t.n_queued - 1;
-      Mutex.unlock t.mu;
-      run_chain t hash c next
-    | [] -> retire t hash c
-  end
+  complete t req value;
+  match Queue.take_opt chain with
+  | Some next ->
+    t.n_queued <- t.n_queued - 1;
+    Mutex.unlock t.mu;
+    run_chain t hash chain next
+  | None ->
+    Hashtbl.remove t.cells hash;
+    t.n_running <- t.n_running - 1;
+    if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
+    if t.n_queued = 0 && t.n_running = 0 then Condition.broadcast t.idle;
+    Mutex.unlock t.mu
 
 let rec worker t =
   match Workq.pop t.q with
   | None -> () (* closed and drained: exit the domain *)
   | Some hash ->
     Mutex.lock t.mu;
-    (match claim t hash with
-    | None -> Mutex.unlock t.mu
-    | Some (c, req) ->
-      Mutex.unlock t.mu;
-      run_chain t hash c req);
+    let chain = Hashtbl.find t.cells hash in
+    let req = Queue.pop chain in
+    t.n_queued <- t.n_queued - 1;
+    t.n_running <- t.n_running + 1;
+    Mutex.unlock t.mu;
+    run_chain t hash chain req;
     worker t
 
 let create ?(capacity = 4096) ~jobs () =
@@ -178,15 +119,12 @@ let create ?(capacity = 4096) ~jobs () =
       idle = Condition.create ();
       cells = Hashtbl.create 256;
       memo = Hashtbl.create 256;
-      latest = Hashtbl.create 256;
       results = Mailbox.create ();
       next_seq = 0;
       n_queued = 0;
       n_running = 0;
       s_submitted = 0;
       s_completed = 0;
-      s_cancelled = 0;
-      s_requeued = 0;
       s_merged = 0;
       s_deduped = 0;
       domains = [];
@@ -197,77 +135,68 @@ let create ?(capacity = 4096) ~jobs () =
     t.domains <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-(* under [t.mu] in parallel mode; single-threaded in inline mode.  A
-   submission is a duplicate when its [dedupe_key] matches the latest live
-   submission for the hash: that job's result is already in the Mailbox (or
-   on its way there), so running the identical work again would only burn a
-   worker — the jobs=4 merged-waste regression.  Keyless submissions never
-   dedupe and clear the memo (they will publish a fresh result). *)
-let memo_check t hash = function
-  | None ->
-    Hashtbl.remove t.memo hash;
-    false
-  | Some k ->
-    if Hashtbl.find_opt t.memo hash = Some k then true
-    else begin
+(* under [t.mu] in parallel mode.  A submission is a duplicate when its
+   [dedupe_key] matches the latest live submission for the hash: that job's
+   result is already in the Mailbox (or on its way there), so running the
+   identical work again would only burn a worker — the jobs=4 merged-waste
+   regression.  Keyless submissions never dedupe and clear the memo (they
+   will publish a fresh result).  Returns the numbered request, or [None]
+   for a duplicate. *)
+let admit t ~hash dedupe_key job =
+  let dup =
+    match dedupe_key with
+    | Some k when Hashtbl.find_opt t.memo hash = Some k -> true
+    | Some k ->
       Hashtbl.replace t.memo hash k;
       false
-    end
-
-let submit ?dedupe_key t ~hash ~root ~priority job =
-  if t.stopped then invalid_arg "Sched.submit: scheduler is shut down";
-  if t.n_jobs <= 1 then begin
-    if memo_check t hash dedupe_key then begin
-      t.s_deduped <- t.s_deduped + 1;
-      Obs.incr obs_deduped
-    end
-    else begin
-      (* inline deterministic mode: run now, on this domain *)
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.s_submitted <- t.s_submitted + 1;
-      Obs.incr obs_submitted;
-      let req = { seq; hash; root; prio = priority; job } in
-      Hashtbl.replace t.latest hash seq;
-      publish t req (run_job job);
-      t.s_completed <- t.s_completed + 1;
-      Obs.incr obs_completed
-    end
+    | None ->
+      Hashtbl.remove t.memo hash;
+      false
+  in
+  if dup then begin
+    t.s_deduped <- t.s_deduped + 1;
+    Obs.incr obs_deduped;
+    None
   end
   else begin
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    t.s_submitted <- t.s_submitted + 1;
+    Obs.incr obs_submitted;
+    Some { seq; hash; job }
+  end
+
+let submit ?dedupe_key t ~hash ~priority job =
+  if t.stopped then invalid_arg "Sched.submit: scheduler is shut down";
+  if t.n_jobs <= 1 then
+    (* inline deterministic mode: run now, on this domain *)
+    Option.iter
+      (fun req -> complete t req (run_job req.job))
+      (admit t ~hash dedupe_key job)
+  else begin
     Mutex.lock t.mu;
-    if memo_check t hash dedupe_key then begin
-      t.s_deduped <- t.s_deduped + 1;
-      Obs.incr obs_deduped;
-      Mutex.unlock t.mu
-    end
-    else begin
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.s_submitted <- t.s_submitted + 1;
-      Obs.incr obs_submitted;
-      let req = { seq; hash; root; prio = priority; job } in
-      Hashtbl.replace t.latest hash seq;
-      let need_push =
-        match Hashtbl.find_opt t.cells hash with
-        | Some c ->
-          (* live cell: a worker owns it (running) or will pop it (in_queue)
-             or will continue its chain — just append *)
-          c.chain <- c.chain @ [ req ];
-          t.n_queued <- t.n_queued + 1;
+    let need_push =
+      match admit t ~hash dedupe_key job with
+      | None -> false
+      | Some req ->
+        t.n_queued <- t.n_queued + 1;
+        if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
+        (match Hashtbl.find_opt t.cells hash with
+        | Some chain ->
+          (* live chain: the worker that owns it, or will pop it, runs this
+             after everything already in it *)
+          Queue.push req chain;
           t.s_merged <- t.s_merged + 1;
           false
         | None ->
-          Hashtbl.add t.cells hash
-            { chain = [ req ]; running = false; in_queue = true; kill = false };
-          t.n_queued <- t.n_queued + 1;
-          true
-      in
-      if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
-      Mutex.unlock t.mu;
-      (* push outside the lock: it may block on backpressure *)
-      if need_push then ignore (Workq.push t.q ~priority hash : bool)
-    end
+          let chain = Queue.create () in
+          Queue.push req chain;
+          Hashtbl.add t.cells hash chain;
+          true)
+    in
+    Mutex.unlock t.mu;
+    (* push outside the lock: it may block on backpressure *)
+    if need_push then ignore (Workq.push t.q ~priority hash : bool)
   end
 
 let drain t =
@@ -284,145 +213,26 @@ let barrier t =
     Mutex.unlock t.mu
   end
 
-let cancel t hashes =
-  (* The dedupe memo and keep-latest table forget cancelled hashes in both
-     modes (inline mode has nothing queued to drop, but keeping bookkeeping
-     behaviour identical across job counts is what preserves jobs=1 ≡ jobs=N
-     outcome parity). *)
-  List.iter
-    (fun h ->
-      Hashtbl.remove t.memo h;
-      Hashtbl.remove t.latest h)
-    hashes;
-  if t.n_jobs > 1 then begin
-    Mutex.lock t.mu;
-    List.iter
-      (fun hash ->
-        match Hashtbl.find_opt t.cells hash with
-        | None -> ()
-        | Some c ->
-          let n = List.length c.chain in
-          c.chain <- [];
-          t.n_queued <- t.n_queued - n;
-          t.s_cancelled <- t.s_cancelled + n;
-          Obs.add obs_cancelled n;
-          if c.running then c.kill <- true (* in-flight result suppressed at finish *)
-          else Hashtbl.remove t.cells hash)
-      hashes;
-    signal_if_idle t;
-    Mutex.unlock t.mu
-  end
+(* Bookkeeping-only: no queue or chain state is touched, so this is safe
+   to call for hashes with live work — although the node only calls it for
+   retired ones.  The memo grows monotonically with the set of hashes ever
+   submitted, so retiring them here is what bounds it. *)
+let forget t hashes = locked t (fun () -> List.iter (Hashtbl.remove t.memo) hashes)
 
-(* Bookkeeping-only: no queue or cell state is touched, so (unlike
-   [cancel]) this is safe to call for hashes with live work — although the
-   node only calls it for retired ones.  Both per-hash tables grow
-   monotonically with the set of hashes ever submitted, so both must be
-   dropped here: forgetting only the dedupe memo left the keep-latest
-   entries to leak one per retired transaction, unbounded over a long
-   chain.  Taking the mutex in parallel mode mirrors [memo_check]'s
-   locking discipline. *)
-let forget t hashes =
-  let drop h =
-    Hashtbl.remove t.memo h;
-    Hashtbl.remove t.latest h
-  in
-  if t.n_jobs <= 1 then List.iter drop hashes
-  else begin
-    Mutex.lock t.mu;
-    List.iter drop hashes;
-    Mutex.unlock t.mu
-  end
-
-let sized t tbl =
-  if t.n_jobs <= 1 then Hashtbl.length tbl
-  else begin
-    Mutex.lock t.mu;
-    let n = Hashtbl.length tbl in
-    Mutex.unlock t.mu;
-    n
-  end
-
-let memo_size t = sized t t.memo
-let invalidate_size t = sized t t.latest
-
-(* Keep-latest-per-hash pruning.  The old policy dropped every queued job
-   whose root differed from the new head, discarding still-valid
-   speculations wholesale — APs accumulated against the previous head are
-   usually still satisfiable (their constraints, not their root, decide),
-   and blanket dropping cratered the AP hit rate to 15%.  Now a head change
-   only sheds *superseded* work: when several jobs are queued for one hash,
-   the newest (freshest contexts) subsumes the older ones. *)
-let invalidate t ~root:_ =
-  if t.n_jobs <= 1 then 0
-  else begin
-    Mutex.lock t.mu;
-    let pruned = ref 0 in
-    Hashtbl.iter
-      (fun hash c ->
-        match c.chain with
-        | [] | [ _ ] -> ()
-        | chain ->
-          let rec last = function
-            | [ x ] -> x
-            | _ :: tl -> last tl
-            | [] -> assert false
-          in
-          (* the keep-latest table names the newest submission explicitly;
-             chains append in submission order, so the fallback (the chain's
-             tail) only differs if that invariant is ever broken *)
-          let keep =
-            match Hashtbl.find_opt t.latest hash with
-            | Some seq -> (
-              match List.find_opt (fun r -> r.seq = seq) chain with
-              | Some r -> r
-              | None -> last chain)
-            | None -> last chain
-          in
-          let n = List.length chain - 1 in
-          c.chain <- [ keep ];
-          t.n_queued <- t.n_queued - n;
-          t.s_requeued <- t.s_requeued + n;
-          Obs.add obs_requeued n;
-          pruned := !pruned + n)
-      t.cells;
-    if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
-    Mutex.unlock t.mu;
-    !pruned
-  end
+let memo_size t = locked t (fun () -> Hashtbl.length t.memo)
 
 let stats t =
-  if t.n_jobs <= 1 then
-    {
-      jobs = t.n_jobs;
-      submitted = t.s_submitted;
-      completed = t.s_completed;
-      cancelled = t.s_cancelled;
-      requeued = t.s_requeued;
-      merged = t.s_merged;
-      deduped = t.s_deduped;
-      queued = 0;
-      running = 0;
-      high_water = Workq.high_water t.q;
-    }
-  else begin
-    Mutex.lock t.mu;
-    let s =
+  locked t (fun () ->
       {
         jobs = t.n_jobs;
         submitted = t.s_submitted;
         completed = t.s_completed;
-        cancelled = t.s_cancelled;
-        requeued = t.s_requeued;
         merged = t.s_merged;
         deduped = t.s_deduped;
         queued = t.n_queued;
         running = t.n_running;
         high_water = Workq.high_water t.q;
-      }
-    in
-    Mutex.unlock t.mu;
-    s
-  end
+      })
 
 let shutdown t =
   if not t.stopped then begin

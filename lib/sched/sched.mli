@@ -14,9 +14,9 @@
     path, which is what the tier-1 tests and the fuzzer pin.
 
     The producer side is single-threaded: {!submit}, {!drain}, {!barrier},
-    {!cancel}, {!invalidate} and {!shutdown} must all be called from the
-    domain that called {!create} (in this codebase, the node's replay
-    loop).  Worker domains never call back into the scheduler API. *)
+    {!forget} and {!shutdown} must all be called from the domain that
+    called {!create} (in this codebase, the node's replay loop).  Worker
+    domains never call back into the scheduler API. *)
 
 module Workq : module type of Workq
 (** The bounded priority work queue (re-exported for its property tests). *)
@@ -33,7 +33,6 @@ type 'r t
 type 'r result = {
   r_seq : int;  (** submission sequence number, 0-based *)
   r_hash : string;  (** the [~hash] the job was submitted under *)
-  r_root : string;  (** the [~root] the job was submitted against *)
   r_value : ('r, exn) Stdlib.result;  (** [Error e] if the job raised [e] *)
 }
 
@@ -41,8 +40,6 @@ type stats = {
   jobs : int;
   submitted : int;
   completed : int;  (** results published (inline or by a worker) *)
-  cancelled : int;  (** queued jobs dropped + in-flight results suppressed *)
-  requeued : int;  (** superseded jobs pruned by {!invalidate} (keep-latest) *)
   merged : int;  (** submissions chained behind existing work for the same hash *)
   deduped : int;  (** submissions skipped: identical [dedupe_key] already live *)
   queued : int;  (** jobs currently waiting (snapshot) *)
@@ -61,22 +58,20 @@ val submit :
   ?dedupe_key:string ->
   'r t ->
   hash:string ->
-  root:string ->
   priority:U256.t ->
   (unit -> 'r) ->
   unit
 (** Enqueue a job.  [priority] orders dispatch (higher first — predicted
-    inclusion order, i.e. gas price); [root] tags the job with the state
-    root it speculates against.  Blocks when the queue is at capacity.  In
-    inline mode the job runs before [submit] returns.
+    inclusion order, i.e. gas price).  Blocks when the queue is at
+    capacity.  In inline mode the job runs before [submit] returns.
 
     [dedupe_key] is a fingerprint of the work (e.g. state root + speculated
     contexts): when it equals the key of the hash's latest live submission,
     that job's result is already in the {!Mailbox} (or on its way), so this
     submission is skipped entirely — counted as [deduped], no result
     published.  The decision depends only on the submission history (never
-    on worker timing), so jobs=1 and jobs=N dedupe identically.  {!cancel}
-    forgets a hash's key; keyless submissions never dedupe and clear the
+    on worker timing), so jobs=1 and jobs=N dedupe identically.  {!forget}
+    drops a hash's key; keyless submissions never dedupe and clear the
     key.  Callers that need one result per submit (the parallel block
     commit) must not pass [dedupe_key]. *)
 
@@ -90,41 +85,18 @@ val barrier : 'r t -> unit
     write shared backend state (e.g. commit a block's trie nodes) before
     submitting again.  No-op in inline mode. *)
 
-val cancel : 'r t -> string list -> unit
-(** Drop all queued jobs for these hashes and suppress the results of any
-    in-flight ones (used when a new block includes the txs: their
-    speculations are moot).  Already-published results are not recalled. *)
-
 val forget : 'r t -> string list -> unit
-(** Drop the per-hash bookkeeping — the dedupe-memo entry {e and} the
-    keep-latest entry {!invalidate} consults — for these hashes, without
-    touching any queued or running work.  Both tables otherwise grow
-    monotonically (one entry per tx hash ever submitted), so the node
-    calls this at block commit for the hashes it retires (included or
-    stale), bounding them to the live pending set.  Safe in both modes
-    and identical across job counts (pure bookkeeping), so it preserves
-    jobs=1 ≡ jobs=N parity.  Forgetting a hash that later resubmits
+(** Drop the dedupe-memo entries for these hashes, without touching any
+    queued or running work.  The memo otherwise grows monotonically (one
+    entry per tx hash ever submitted), so the node calls this at block
+    commit for the hashes it retires (included or stale), bounding it to
+    the live pending set.  Safe in both modes and identical across job
+    counts (pure bookkeeping), so it preserves jobs=1 ≡ jobs=N parity.  Forgetting a hash that later resubmits
     merely costs one redundant speculation; it never changes results. *)
 
 val memo_size : 'r t -> int
 (** Number of entries currently in the dedupe memo (for the bound's
     regression test and leak diagnosis). *)
-
-val invalidate_size : 'r t -> int
-(** Number of per-hash keep-latest entries currently retained (the table
-    {!invalidate} consults to pick each hash's newest submission).  Like
-    {!memo_size}, exists so the {!forget} bound is testable: after a block
-    retires its hashes, both sizes must return to the pending-set size. *)
-
-val invalidate : 'r t -> root:string -> int
-(** Keep-latest-per-hash pruning at a head change to [root]: for every tx
-    hash with several queued jobs, keep only the newest (its contexts
-    subsume the older submissions') and drop the rest; returns how many
-    were dropped (counted as [requeued]).  Still-valid speculations — one
-    queued job per hash — survive: an AP built against the previous head
-    remains satisfiable whenever its constraints hold, so dropping every
-    stale-root job (the old policy) threw away mostly-good work and
-    cratered the hit rate.  In-flight jobs are left to finish. *)
 
 val stats : 'r t -> stats
 

@@ -301,8 +301,8 @@ let default_fork = Istanbul
 let default () = resolve Istanbul
 
 (* The process-wide default spec, consulted when no explicit spec is
-   threaded (mirrors Interp.default_engine).  The bench and CLI `--fork`
-   flags set it; tests must restore it. *)
+   threaded.  The bench and CLI `--fork` flags set it; tests must restore
+   it. *)
 let current : t ref = ref (resolve Istanbul)
 
 (* Intrinsic transaction gas under this spec (mirrors

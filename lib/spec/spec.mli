@@ -81,9 +81,8 @@ val default_fork : fork
 val default : unit -> t
 
 val current : t ref
-(** Process-wide default spec, used when no explicit spec is threaded
-    (mirrors [Interp.default_engine]).  Set by the CLI/bench [--fork]
-    flags; tests must restore it. *)
+(** Process-wide default spec, used when no explicit spec is threaded.
+    Set by the CLI/bench [--fork] flags; tests must restore it. *)
 
 val intrinsic_gas : t -> is_create:bool -> string -> int
 (** Intrinsic transaction gas under this spec (21000/53000 base plus

@@ -3,12 +3,11 @@
    (structural fingerprints) and identical constraint-satisfaction outcomes
    as jobs=1 on every scenario — exit non-zero on any mismatch.
 
-   Also pins the two fixed scheduler policies at CI scale, so the old
+   Also pins two scheduler bookkeeping policies at CI scale, so the old
    behaviours cannot silently return: the dedupe memo must skip
    duplicate-key submissions instead of chaining redundant jobs (the
-   jobs=4 merged=6881 waste), and invalidate must keep the latest queued
-   job per hash instead of blanket-dropping by root (which cratered the
-   AP hit rate to 15%). *)
+   jobs=4 merged=6881 waste), and [forget] must bound the memo to the
+   live hashes. *)
 
 let jobs = 4
 let sweep_iters = 8
@@ -23,7 +22,7 @@ let dedupe_regression ~jobs =
   for h = 0 to hashes - 1 do
     let hash = Printf.sprintf "tx%d" h in
     for _ = 0 to dups do
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~root:"r" ~priority:(U256.of_int 1)
+      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1)
         (fun () -> h)
     done
   done;
@@ -42,78 +41,16 @@ let dedupe_regression ~jobs =
     fail "sched-ci: DEDUPE REGRESSION (jobs=%d): %d deduped, expected %d" jobs
       st.Sched.deduped (hashes * dups)
 
-(* Superseded-chain pruning: several queued jobs per hash, invalidate must
-   keep exactly the newest of each (the old policy dropped whole hashes
-   whose root was stale, still-valid speculations included). *)
-let keep_latest_regression () =
-  let s : int Sched.t = Sched.create ~jobs:1 () in
-  (* jobs=1 has no queue: invalidate is a no-op by contract *)
-  if Sched.invalidate s ~root:"h" <> 0 then begin
-    prerr_endline "sched-ci: KEEP-LATEST REGRESSION: inline invalidate pruned";
-    exit 1
-  end;
-  Sched.shutdown s;
-  let s : int Sched.t = Sched.create ~jobs:2 () in
-  (* pin both workers so the queue stays put while we prune it *)
-  let mu = Mutex.create () and cv = Condition.create () and go = ref false in
-  let started = Atomic.make 0 in
-  let pin h =
-    Sched.submit s ~hash:h ~root:"h" ~priority:(U256.of_int 9) (fun () ->
-        Atomic.incr started;
-        Mutex.lock mu;
-        while not !go do
-          Condition.wait cv mu
-        done;
-        Mutex.unlock mu;
-        0)
-  in
-  pin "g1";
-  pin "g2";
-  while Atomic.get started < 2 do
-    Domain.cpu_relax ()
-  done;
-  let hashes = 16 and per_hash = 4 in
-  for h = 0 to hashes - 1 do
-    for v = 0 to per_hash - 1 do
-      Sched.submit s
-        ~hash:(Printf.sprintf "tx%d" h)
-        ~root:(Printf.sprintf "old%d" v)
-        ~priority:(U256.of_int 1)
-        (fun () -> (h * 10) + v)
-    done
-  done;
-  let pruned = Sched.invalidate s ~root:"h" in
-  Mutex.lock mu;
-  go := true;
-  Condition.broadcast cv;
-  Mutex.unlock mu;
-  Sched.barrier s;
-  let st = Sched.stats s in
-  let results = List.length (Sched.drain s) in
-  Sched.shutdown s;
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
-  if pruned <> hashes * (per_hash - 1) then
-    fail "sched-ci: KEEP-LATEST REGRESSION: pruned %d, expected %d" pruned
-      (hashes * (per_hash - 1));
-  if results <> hashes + 2 then
-    fail "sched-ci: KEEP-LATEST REGRESSION: %d results, expected %d (latest per hash)"
-      results (hashes + 2);
-  if st.Sched.requeued <> hashes * (per_hash - 1) then
-    fail "sched-ci: KEEP-LATEST REGRESSION: requeued=%d, expected %d" st.Sched.requeued
-      (hashes * (per_hash - 1))
-
-(* Bookkeeping bound: submitting under a hash populates BOTH per-hash
-   tables (dedupe memo + keep-latest entry); [forget] must empty both.
-   The broken version dropped only the memo, leaking one keep-latest
-   entry per retired transaction forever. *)
+(* Bookkeeping bound: submitting under a hash populates the dedupe memo;
+   [forget] must shrink it to exactly the hashes not yet retired, or it
+   leaks one entry per retired transaction forever. *)
 let forget_bound_regression ~jobs =
   let s : int Sched.t = Sched.create ~jobs () in
   let n = 24 in
   let hashes = List.init n (Printf.sprintf "tx%d") in
   List.iter
     (fun hash ->
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~root:"r" ~priority:(U256.of_int 1)
-        (fun () -> 0))
+      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1) (fun () -> 0))
     hashes;
   Sched.barrier s;
   ignore (Sched.drain s : int Sched.result list);
@@ -121,34 +58,24 @@ let forget_bound_regression ~jobs =
   if Sched.memo_size s <> n then
     fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo_size=%d, expected %d" jobs
       (Sched.memo_size s) n;
-  if Sched.invalidate_size s <> n then
-    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): invalidate_size=%d, expected %d"
-      jobs (Sched.invalidate_size s) n;
-  (* retire half the block: both tables shrink to the survivors, exactly *)
+  (* retire half the block: the memo shrinks to the survivors, exactly *)
   let retired, live = (List.filteri (fun i _ -> i < n / 2) hashes, n - (n / 2)) in
   Sched.forget s retired;
   if Sched.memo_size s <> live then
     fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo_size=%d after forget, expected %d"
       jobs (Sched.memo_size s) live;
-  if Sched.invalidate_size s <> live then
-    fail
-      "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): invalidate_size=%d after forget, expected %d (keep-latest leak)"
-      jobs
-      (Sched.invalidate_size s)
-      live;
   Sched.forget s hashes;
-  if Sched.memo_size s <> 0 || Sched.invalidate_size s <> 0 then
-    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): tables not empty after full forget"
+  if Sched.memo_size s <> 0 then
+    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo not empty after full forget"
       jobs;
   Sched.shutdown s
 
 let () =
   dedupe_regression ~jobs:1;
   dedupe_regression ~jobs:4;
-  keep_latest_regression ();
   forget_bound_regression ~jobs:1;
   forget_bound_regression ~jobs:4;
-  print_string "sched-ci: dedupe, keep-latest and forget-bound policies hold (jobs=1 and jobs=4)\n";
+  print_string "sched-ci: dedupe and forget-bound policies hold (jobs=1 and jobs=4)\n";
   let lanes = [ Fuzz.Oracle.Speculation jobs ] in
   let sw = Fuzz.Oracle.sweep ~lanes ~corpus:"corpus" ~seed ~iters:sweep_iters () in
   Printf.printf "sched-ci: corpus %d runs from %d files\n" sw.corpus.scenarios sw.files;

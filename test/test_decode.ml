@@ -84,7 +84,7 @@ let hammer_battery () =
   for i = 0 to n - 1 do
     Sched.submit s
       ~hash:(Printf.sprintf "hammer%d" i)
-      ~root:"r" ~priority:(U256.of_int 1)
+      ~priority:(U256.of_int 1)
       (fun () -> run_code hammer_code)
   done;
   Sched.barrier s;
@@ -162,7 +162,7 @@ let mixed_spec_battery () =
       for i = 0 to per_fork - 1 do
         Sched.submit s
           ~hash:(Printf.sprintf "mixed%d-%d" fi i)
-          ~root:"r" ~priority:(U256.of_int 1)
+          ~priority:(U256.of_int 1)
           (fun () ->
             let root, gas = run_code ~spec:(Spec.resolve fork) mixed_code in
             (Spec.fork_name fork, root, gas))

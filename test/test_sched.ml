@@ -1,40 +1,12 @@
 (* lib/sched tests: qcheck properties over the bounded priority work queue
    (ordering, nothing lost under concurrent producers/consumers, the
    backpressure bound), scheduler semantics (inline mode, per-hash
-   chaining, cancel, invalidate, barrier quiescence), the 4-domain
-   observability hammer, and the parallel-speculation determinism oracle
-   on generated EVM scenarios. *)
+   chaining, dedupe, forget, barrier quiescence), the 4-domain
+   observability hammer, the parallel-speculation determinism oracle on
+   generated EVM scenarios, and node-level jobs=1 ≡ jobs=2 replay parity. *)
 
 let t name f = Alcotest.test_case name `Quick f
 let u = U256.of_int
-
-(* Wait (bounded) for a cross-domain predicate to become true. *)
-let await ?(timeout_s = 20.0) msg pred =
-  let t0 = Obs.now_ns () in
-  let deadline = Int64.add t0 (Int64.of_float (timeout_s *. 1e9)) in
-  while (not (pred ())) && Int64.compare (Obs.now_ns ()) deadline < 0 do
-    Domain.cpu_relax ()
-  done;
-  Alcotest.(check bool) msg true (pred ())
-
-(* A one-shot gate worker jobs park on, so tests can pin jobs in-flight
-   while they poke the queue behind them. *)
-let gate () =
-  let mu = Mutex.create () and cv = Condition.create () and opened = ref false in
-  let wait () =
-    Mutex.lock mu;
-    while not !opened do
-      Condition.wait cv mu
-    done;
-    Mutex.unlock mu
-  in
-  let release () =
-    Mutex.lock mu;
-    opened := true;
-    Condition.broadcast cv;
-    Mutex.unlock mu
-  in
-  (wait, release)
 
 (* ---- Workq properties ---- *)
 
@@ -120,7 +92,6 @@ let test_inline () =
   for i = 0 to 9 do
     Sched.submit s
       ~hash:(Printf.sprintf "h%d" i)
-      ~root:"r"
       ~priority:(u (i mod 3))
       (fun () -> i * i)
   done;
@@ -138,7 +109,7 @@ let test_inline () =
 
 let test_exn () =
   let s : int Sched.t = Sched.create ~jobs:1 () in
-  Sched.submit s ~hash:"boom" ~root:"r" ~priority:(u 1) (fun () -> failwith "boom");
+  Sched.submit s ~hash:"boom" ~priority:(u 1) (fun () -> failwith "boom");
   (match Sched.drain s with
   | [ { Sched.r_value = Error (Failure m); _ } ] ->
     Alcotest.(check string) "exception captured" "boom" m
@@ -152,7 +123,7 @@ let test_chaining () =
   let s : int Sched.t = Sched.create ~jobs:4 () in
   let order = ref [] in
   for i = 0 to 19 do
-    Sched.submit s ~hash:"same-tx" ~root:"r" ~priority:(u 1) (fun () ->
+    Sched.submit s ~hash:"same-tx" ~priority:(u 1) (fun () ->
         order := i :: !order;
         i)
   done;
@@ -166,80 +137,16 @@ let test_chaining () =
   Alcotest.(check int) "all completed" 20 st.Sched.completed;
   Sched.shutdown s
 
-let test_cancel () =
-  let s : string Sched.t = Sched.create ~jobs:2 () in
-  let wait, release = gate () in
-  let started = Atomic.make 0 in
-  let pin hash =
-    Sched.submit s ~hash ~root:"r" ~priority:(u 9) (fun () ->
-        Atomic.incr started;
-        wait ();
-        hash)
-  in
-  pin "inflight";
-  pin "other";
-  await "both workers pinned" (fun () -> Atomic.get started = 2);
-  Sched.submit s ~hash:"q1" ~root:"r" ~priority:(u 5) (fun () -> "q1");
-  Sched.submit s ~hash:"q2" ~root:"r" ~priority:(u 4) (fun () -> "q2");
-  (* q1 is still queued (dropped), inflight is running (its result must be
-     suppressed when it finishes) *)
-  Sched.cancel s [ "q1"; "inflight" ];
-  release ();
-  Sched.barrier s;
-  Alcotest.(check (list string)) "cancelled jobs produce no results"
-    [ "other"; "q2" ]
-    (List.map r_hash (Sched.drain s));
-  Alcotest.(check int) "cancelled count" 2 (Sched.stats s).Sched.cancelled;
-  Sched.shutdown s
-
-(* Keep-latest invalidation: a head change sheds only *superseded* queued
-   work — when several jobs are chained for one hash, the newest survives;
-   singleton chains (still-valid speculations) are untouched.  The old
-   blanket root-match dropping cratered the AP hit rate to 15%; this test
-   fails if that behaviour returns (it would drop "a" and "b" entirely). *)
-let test_invalidate () =
-  let s : string Sched.t = Sched.create ~jobs:2 () in
-  let wait, release = gate () in
-  let started = Atomic.make 0 in
-  let pin hash =
-    Sched.submit s ~hash ~root:"new" ~priority:(u 9) (fun () ->
-        Atomic.incr started;
-        wait ();
-        hash)
-  in
-  pin "g1";
-  pin "g2";
-  await "both workers pinned" (fun () -> Atomic.get started = 2);
-  (* hash "a": three chained submissions, speculated against successive
-     stale roots; hash "b": one still-valid speculation *)
-  Sched.submit s ~hash:"a" ~root:"old1" ~priority:(u 5) (fun () -> "a1");
-  Sched.submit s ~hash:"a" ~root:"old2" ~priority:(u 5) (fun () -> "a2");
-  Sched.submit s ~hash:"a" ~root:"new" ~priority:(u 5) (fun () -> "a3");
-  Sched.submit s ~hash:"b" ~root:"old1" ~priority:(u 4) (fun () -> "b1");
-  let pruned = Sched.invalidate s ~root:"new" in
-  Alcotest.(check int) "superseded jobs pruned (keep-latest)" 2 pruned;
-  release ();
-  Sched.barrier s;
-  let st = Sched.stats s in
-  Alcotest.(check int) "requeued count" 2 st.Sched.requeued;
-  Alcotest.(check int) "barrier: nothing queued" 0 st.Sched.queued;
-  Alcotest.(check int) "barrier: nothing running" 0 st.Sched.running;
-  Alcotest.(check (list string)) "latest-per-hash and singletons survived"
-    [ "g1"; "g2"; "a3"; "b1" ]
-    (List.map r_ok (Sched.drain s));
-  Alcotest.(check int) "second invalidate finds nothing" 0 (Sched.invalidate s ~root:"new");
-  Sched.shutdown s
-
 (* ---- dedupe memo (the jobs=4 merged-waste regression) ---- *)
 
 (* Run one submission script against a scheduler and return (result hashes
    in drain order, stats).  The script exercises every memo transition:
    duplicate key (skipped), changed key (runs), keyless (runs, clears the
-   memo), re-submission after cancel (runs). *)
+   memo), re-submission after forget (runs). *)
 let dedupe_script jobs =
   let s : string Sched.t = Sched.create ~jobs () in
   let sub ?dedupe_key hash =
-    Sched.submit s ?dedupe_key ~hash ~root:"r" ~priority:(u 1) (fun () -> hash)
+    Sched.submit s ?dedupe_key ~hash ~priority:(u 1) (fun () -> hash)
   in
   sub ~dedupe_key:"k1" "x";
   sub ~dedupe_key:"k1" "x" (* duplicate: must be skipped, not chained *);
@@ -249,8 +156,8 @@ let dedupe_script jobs =
   sub ~dedupe_key:"k2" "x" (* after keyless clear: runs again *);
   sub ~dedupe_key:"k9" "y";
   Sched.barrier s;
-  Sched.cancel s [ "y" ];
-  sub ~dedupe_key:"k9" "y" (* cancel forgot the memo: runs again *);
+  Sched.forget s [ "y" ];
+  sub ~dedupe_key:"k9" "y" (* forgotten hash: runs again *);
   Sched.barrier s;
   let rs = List.map r_hash (Sched.drain s) in
   let st = Sched.stats s in
@@ -291,20 +198,20 @@ let memo_bound_script jobs =
   let s : int Sched.t = Sched.create ~jobs () in
   Fun.protect ~finally:(fun () -> Sched.shutdown s) @@ fun () ->
   for i = 0 to 9 do
-    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) ~root:"r" ~priority:(u 1)
+    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) ~priority:(u 1)
       (fun () -> i)
   done;
   Sched.barrier s;
   Alcotest.(check int) "memo holds one entry per live hash" 10 (Sched.memo_size s);
   (* a duplicate submission is deduped without growing the memo *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" ~root:"r" ~priority:(u 1) (fun () -> 3);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" ~priority:(u 1) (fun () -> 3);
   Alcotest.(check int) "dedupe does not grow the memo" 10 (Sched.memo_size s);
   (* block commit: the node forgets every retired hash (absent ones are a
      no-op), bounding the memo to what is still pending *)
   Sched.forget s [ "0"; "1"; "2"; "absent" ];
   Alcotest.(check int) "forget drops retired hashes" 7 (Sched.memo_size s);
   (* a forgotten hash speculates again instead of being deduped stale *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" ~root:"r" ~priority:(u 1) (fun () -> 0);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" ~priority:(u 1) (fun () -> 0);
   Sched.barrier s;
   Alcotest.(check int) "forgotten hash re-memoizes on resubmission" 8 (Sched.memo_size s);
   let st = Sched.stats s in
@@ -320,7 +227,7 @@ let test_barrier_quiesces () =
     for i = 0 to 49 do
       Sched.submit s
         ~hash:(Printf.sprintf "r%d-j%d" round i)
-        ~root:"r" ~priority:(u (i mod 5))
+        ~priority:(u (i mod 5))
         (fun () -> i)
     done;
     Sched.barrier s;
@@ -365,6 +272,31 @@ let test_parallel_oracle () =
       0 (List.length r.findings)
   done
 
+(* ---- node-level jobs parity (what `forerunner bench` checks) ---- *)
+
+(* The full Forerunner replay of one recording at jobs=1 and jobs=2 must
+   agree on every per-tx outcome and gas figure, every block result, and
+   how much speculation ran: the dedupe decisions depend on submission
+   history only, never on worker timing.  Same recording shape as
+   `forerunner bench --seed 9 --duration 10 --rate 8`. *)
+let test_node_jobs_parity () =
+  let params =
+    {
+      Netsim.Sim.default_params with
+      seed = 9;
+      duration = 10.0;
+      tx_rate = 8.0;
+      tick_interval = Some 1.0;
+    }
+  in
+  let c =
+    Core.Schedbench.compare_jobs ~par_suite:false ~jobs:2 (Netsim.Sim.run ~params ())
+  in
+  Alcotest.(check bool) "per-tx outcomes identical" true c.outcomes_match;
+  Alcotest.(check bool) "per-block results identical" true c.blocks_match;
+  Alcotest.(check int) "same speculation count" c.seq.speculated c.par.speculated;
+  Alcotest.(check int) "same dedupe count" c.seq.deduped c.par.deduped
+
 let suite =
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:200 ~name:"workq pops (priority desc, fifo)" arb_batch
@@ -377,13 +309,13 @@ let suite =
     t "inline mode runs at submit, in order" test_inline;
     t "job exceptions are captured, not propagated" test_exn;
     t "same-hash jobs chain in submission order" test_chaining;
-    t "cancel drops queued work and suppresses in-flight results" test_cancel;
-    t "invalidate keeps the latest job per hash, prunes superseded" test_invalidate;
     t "dedupe memo skips duplicate submissions" test_dedupe;
     t "dedupe decisions identical at jobs=1 and jobs=4 (merged-waste)"
       test_dedupe_jobs4_parity;
     t "forget bounds the dedupe memo to the live pending set" test_memo_bound;
     t "forget bounds the memo at jobs=4 too" test_memo_bound_jobs4;
     t "barrier quiesces; shutdown is idempotent" test_barrier_quiesces;
-    t "obs counters are exact under 4 hammering domains" test_obs_hammer;
-    t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle ]
+    t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle;
+    t "node replay at jobs=2 matches jobs=1 (outcomes, blocks, spec counts)"
+      test_node_jobs_parity;
+    t "obs counters are exact under 4 hammering domains" test_obs_hammer ]
